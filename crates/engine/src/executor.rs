@@ -21,7 +21,10 @@
 //! shuffle buckets and per-node parts are combined with k-way ordered merges
 //! that preserve the tracked order, and a single canonicalization at the
 //! final projection makes the result relation bit-identical at every thread
-//! count.
+//! count. The result is the distinct answer set: the root projection drops
+//! each node's adjacent duplicates inside its wave, and the root drops the
+//! ones that span nodes after canonicalizing — both linear passes over
+//! rows already ordered on every column, never an extra sort.
 //!
 //! Two clocks are reported: `simulated_seconds` (the Section 5.4 cost model
 //! applied to the work counters — unchanged by the thread count) and
@@ -47,8 +50,8 @@ use std::time::Instant;
 /// The result of executing one plan.
 #[derive(Debug, Clone)]
 pub struct ExecutionOutput {
-    /// The final (projected) result relation in canonical (sorted) order,
-    /// with duplicates preserved.
+    /// The distinct answer set: the final (projected) result relation in
+    /// canonical (sorted) order, without duplicate rows.
     pub results: Relation,
     /// Per-job execution records.
     pub job_log: JobLog,
@@ -74,7 +77,7 @@ pub struct ExecutionOutput {
 impl ExecutionOutput {
     /// Number of distinct result rows (BGP answers are sets of bindings).
     pub fn distinct_count(&self) -> usize {
-        self.results.distinct_len()
+        self.results.len()
     }
 }
 
@@ -245,6 +248,7 @@ impl Executor {
             memo: vec![None; plan.len()],
             prof: profiled.then(|| ProfCtx::new(started)),
             estimates,
+            duplicates_dropped: 0,
         };
 
         // Operators are stored bottom-up (inputs have smaller ids than their
@@ -268,6 +272,9 @@ impl Executor {
             }
             state.memo[index] = Some(result);
         }
+        // The root step: merge the per-node parts, canonicalize, and drop
+        // the duplicates that span nodes.
+        let finalize = Instant::now();
         let root = state.memo[plan.root().index()]
             .take()
             .expect("root evaluated");
@@ -279,6 +286,8 @@ impl Executor {
         // free when the interesting-orders pass already ordered the final
         // projection canonically.
         results.canonicalize();
+        state.duplicates_dropped += results.dedup_sorted() as u64;
+        let finalize_us = finalize.elapsed().as_micros() as u64;
 
         // Per-job fixed counters: one map wave per job, one reduce wave for
         // map+reduce jobs (the *wave* count drives the cost model's task
@@ -319,10 +328,12 @@ impl Executor {
         }
         let metrics = job_log.total_metrics();
         let simulated_seconds = metrics.simulated_seconds(&self.cluster.config().cost, nodes);
-        let profile = state
-            .prof
-            .take()
-            .map(|prof| prof.into_execute_node(started));
+        let profile = state.prof.take().map(|prof| {
+            let mut execute = prof.into_execute_node(started);
+            execute.add_attr("finalize_us", finalize_us);
+            execute.add_attr("duplicates_dropped", state.duplicates_dropped);
+            execute
+        });
         ExecutionOutput {
             results,
             job_log,
@@ -605,6 +616,9 @@ struct ExecState<'a> {
     /// Cost-model estimated cardinalities per operator (arena-indexed),
     /// attached as `est_rows` span attributes when profiling.
     estimates: Option<&'a [u64]>,
+    /// Duplicate result rows dropped so far (the root projection's per-node
+    /// drops, then the root's cross-node ones).
+    duplicates_dropped: u64,
 }
 
 impl<'a> ExecState<'a> {
@@ -1106,6 +1120,10 @@ impl<'a> ExecState<'a> {
         Arc::new(Intermediate::Global(joined))
     }
 
+    /// The root projection. Each part drops its adjacent duplicates when its
+    /// order already covers every column (inside the wave, one linear pass,
+    /// never a sort); duplicates that span nodes go at the root, after the
+    /// final canonicalization.
     fn eval_project(
         &mut self,
         id: PhysId,
@@ -1114,52 +1132,56 @@ impl<'a> ExecState<'a> {
     ) -> Arc<Intermediate> {
         let value = self.input(input);
         let rows = value.cardinality();
-        match &*value {
-            Intermediate::Local(parts) => {
-                let vars = Arc::new(variables.to_vec());
-                let tasks: Vec<_> = (0..parts.len())
-                    .map(|index| {
-                        let value = Arc::clone(&value);
-                        let vars = Arc::clone(&vars);
-                        move || match &*value {
-                            Intermediate::Local(parts) => parts[index].project(&vars),
-                            _ => unreachable!("matched Local above"),
-                        }
-                    })
-                    .collect();
-                let (projected, wall) = self.run_timed_wave(tasks);
-                let job = self.job_mut(id);
-                job.map_wall += wall;
-                job.metrics.comparisons += rows;
-                Arc::new(Intermediate::Local(projected))
-            }
+        let (projected, dropped) = match &*value {
             Intermediate::Global(rel) => {
-                let projected = rel.project(variables);
-                self.job_mut(id).metrics.comparisons += rows;
-                Arc::new(Intermediate::Global(projected))
+                let mut projected = rel.project(variables);
+                let dropped = projected.dedup_sorted() as u64;
+                (Intermediate::Global(projected), dropped)
             }
+            Intermediate::Local(parts) => self.project_parts(id, &value, parts.len(), variables),
             Intermediate::LocalRuns(parts) => {
-                // Expansion boundary: runs materialize here, directly at the
-                // projected arity — the full-width cross product never
-                // exists.
-                let vars = Arc::new(variables.to_vec());
-                let tasks: Vec<_> = (0..parts.len())
-                    .map(|index| {
-                        let value = Arc::clone(&value);
-                        let vars = Arc::clone(&vars);
-                        move || match &*value {
-                            Intermediate::LocalRuns(parts) => parts[index].project_expand(&vars),
-                            _ => unreachable!("matched LocalRuns above"),
-                        }
-                    })
-                    .collect();
-                let (projected, wall) = self.run_timed_wave(tasks);
-                let job = self.job_mut(id);
-                job.map_wall += wall;
-                job.metrics.comparisons += rows;
-                Arc::new(Intermediate::Local(projected))
+                self.project_parts(id, &value, parts.len(), variables)
             }
-        }
+        };
+        self.job_mut(id).metrics.comparisons += rows;
+        self.duplicates_dropped += dropped;
+        Arc::new(projected)
+    }
+
+    /// One projection task per part of a per-node intermediate, each
+    /// dropping its part's adjacent duplicates; returns the projected parts
+    /// and the rows dropped.
+    fn project_parts(
+        &mut self,
+        id: PhysId,
+        value: &Arc<Intermediate>,
+        count: usize,
+        variables: &[Variable],
+    ) -> (Intermediate, u64) {
+        let vars = Arc::new(variables.to_vec());
+        let tasks: Vec<_> = (0..count)
+            .map(|index| {
+                let value = Arc::clone(value);
+                let vars = Arc::clone(&vars);
+                move || {
+                    let mut part = match &*value {
+                        Intermediate::Local(parts) => parts[index].project(&vars),
+                        // Expansion boundary: runs materialize here, directly
+                        // at the projected arity — the full-width cross
+                        // product never exists.
+                        Intermediate::LocalRuns(parts) => parts[index].project_expand(&vars),
+                        Intermediate::Global(_) => unreachable!("per-node parts only"),
+                    };
+                    let dropped = part.dedup_sorted() as u64;
+                    (part, dropped)
+                }
+            })
+            .collect();
+        let (outcomes, wall) = self.run_timed_wave(tasks);
+        self.job_mut(id).map_wall += wall;
+        let dropped = outcomes.iter().map(|(_, dropped)| dropped).sum();
+        let parts = outcomes.into_iter().map(|(part, _)| part).collect();
+        (Intermediate::Local(parts), dropped)
     }
 }
 
@@ -1287,10 +1309,7 @@ mod tests {
         let reference = reference_eval(cluster.graph(), &parse_query(query).unwrap());
         assert!(output.distinct_count() > 0);
         assert_eq!(output.distinct_count(), reference.len());
-        assert_eq!(
-            output.results.clone().distinct().sorted(),
-            reference.sorted()
-        );
+        assert_eq!(output.results, reference);
     }
 
     #[test]
@@ -1322,8 +1341,7 @@ mod tests {
         let plain = executor.execute(&physical);
         let with_estimates = executor.execute_profiled_with_estimates(&physical, &estimates);
         assert_eq!(
-            plain.results.clone().distinct().sorted(),
-            with_estimates.results.clone().distinct().sorted(),
+            plain.results, with_estimates.results,
             "estimate attachment is pure observation"
         );
         let profile = with_estimates
@@ -1502,6 +1520,47 @@ mod tests {
         let mut sorted = output.results.clone();
         sorted.canonicalize();
         assert_eq!(sorted, output.results);
+    }
+
+    /// The result is the distinct answer set, and the root step reports
+    /// itself as attributes of the `execute` span (no span of its own):
+    /// `duplicates_dropped` is the projection's input rows minus the
+    /// answers, and every child of `execute` is still a job span.
+    #[test]
+    fn root_step_drops_duplicates_and_reports_them_on_the_execute_span() {
+        let cluster = cluster();
+        let query = "SELECT ?d WHERE { ?p ub:worksFor ?d . ?s ub:memberOf ?d }";
+        let q = parse_query(query).unwrap();
+        let logical = Optimizer::with_variant(Variant::Msc)
+            .optimize(&q)
+            .flattest_plans()[0]
+            .clone();
+        let physical = translate(&logical, cluster.graph());
+        let output = Executor::sequential(&cluster).execute_profiled(&physical);
+        assert_eq!(output.results.clone().distinct(), output.results);
+        assert_eq!(output.results, reference_eval(cluster.graph(), &q));
+        let execute = output.profile.expect("profiled run has a span tree");
+        let attr = |name: &str| {
+            execute
+                .attrs
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, value)| *value)
+                .unwrap_or_else(|| panic!("execute span lacks {name}"))
+        };
+        attr("finalize_us");
+        let project = execute
+            .children
+            .iter()
+            .flat_map(|job| &job.children)
+            .find(|span| span.name.starts_with("Project#"))
+            .expect("a Project span");
+        let dropped = attr("duplicates_dropped");
+        assert!(dropped > 0, "projecting onto ?d repeats departments");
+        assert_eq!(dropped, project.rows_in - output.results.len() as u64);
+        for job in &execute.children {
+            assert!(job.name.starts_with("job "), "{} under execute", job.name);
+        }
     }
 
     /// Leaf scans start pre-ordered: a first-level join consumes every scan

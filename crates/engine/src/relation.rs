@@ -21,8 +21,8 @@
 //! record which way each requirement went. The n-ary [`Relation::join`]
 //! cashes the same invariant in: inputs whose tracked order has the join
 //! attributes as a prefix are merged in place, and every other input pays
-//! one column-permuted index sort — never a hash table, never a key `Vec`
-//! per row.
+//! one stable packed-key index sort — never a hash table, never a key
+//! `Vec` per row.
 
 use cliquesquare_rdf::TermId;
 use cliquesquare_sparql::Variable;
@@ -57,7 +57,7 @@ pub mod stats {
         /// join attributes are a prefix of the input's [`super::SortOrder`];
         /// no re-sort needed).
         pub join_inputs_presorted: u64,
-        /// Join inputs that paid the one-shot column-permuted index sort.
+        /// Join inputs that paid the one-shot packed-key index sort.
         pub join_inputs_resorted: u64,
         /// Index sorts actually performed: [`super::Relation::canonicalize`]
         /// / [`super::Relation::sort_by_columns`] calls that had to permute
@@ -792,36 +792,30 @@ impl Relation {
         self.sort_now(order);
     }
 
-    /// Index sort + one permuted copy by the given order. The sort touches
-    /// only the key columns, gathered into contiguous column-major storage
-    /// first: a single-column key sorts one flat `(key, row)` array, and a
-    /// multi-column key goes through the chunked [`KeyChunk`] comparator.
-    /// A handful of buffer allocations, zero per-row allocations.
+    /// Sorts the rows by the given order with the packed-key kernel. A key
+    /// naming every column of a row of at most four columns sorts the packed
+    /// rows themselves and unpacks them in place; any other key sorts a
+    /// stable [`sort_permutation`] and permutes the rows once. A handful of
+    /// buffer allocations, zero per-row allocations.
     fn sort_now(&mut self, order: SortOrder) {
-        assert!(self.rows <= u32::MAX as usize, "relation too large");
         let arity = self.schema.len();
+        let key = order.columns();
         stats::count_buffer_alloc();
-        let permutation: Vec<u32> = if let [col] = *order.columns() {
-            // Single-column key: sort flat (key, row) pairs — a branch-light
-            // wide compare over one contiguous buffer. Ties keep the original
-            // row order, so the result is deterministic.
-            let mut keyed: Vec<(TermId, u32)> = (0..self.rows as u32)
-                .map(|row| (self.data[row as usize * arity + col], row))
-                .collect();
-            keyed.sort_unstable();
-            keyed.into_iter().map(|(_, row)| row).collect()
+        // `SortOrder::by` drops repeated columns, so a key as long as the
+        // row is a permutation of all columns.
+        if key.len() == arity && arity <= 2 {
+            sort_packed_rows::<u64>(&mut self.data, arity, key);
+        } else if key.len() == arity && arity <= 4 {
+            sort_packed_rows::<u128>(&mut self.data, arity, key);
         } else {
-            let chunk = KeyChunk::gather(&self.data, arity, order.columns(), self.rows);
-            let mut permutation: Vec<u32> = (0..self.rows as u32).collect();
-            permutation.sort_unstable_by(|&a, &b| chunk.cmp_rows(a as usize, b as usize));
-            permutation
-        };
-        stats::count_buffer_alloc();
-        let mut sorted: Vec<TermId> = Vec::with_capacity(self.data.len());
-        for &i in &permutation {
-            sorted.extend_from_slice(self.row(i as usize));
+            let permutation = sort_permutation(&self.data, arity, self.rows, key);
+            stats::count_buffer_alloc();
+            let mut sorted: Vec<TermId> = Vec::with_capacity(self.data.len());
+            for &i in &permutation {
+                sorted.extend_from_slice(self.row(i as usize));
+            }
+            self.data = sorted;
         }
-        self.data = sorted;
         self.order = order;
         stats::count_sort(true);
     }
@@ -1022,13 +1016,23 @@ impl Relation {
     /// formalization, so final results are compared deduplicated.
     pub fn distinct(mut self) -> Relation {
         self.canonicalize();
+        self.dedup_sorted();
+        self
+    }
+
+    /// Drops adjacent duplicate rows in place when the tracked order covers
+    /// every column (equal rows are then adjacent) and returns how many rows
+    /// it dropped. On any other order it leaves the rows alone and returns
+    /// 0: it never sorts.
+    pub(crate) fn dedup_sorted(&mut self) -> usize {
         let arity = self.schema.len();
-        if arity == 0 {
-            self.rows = self.rows.min(1);
-            return self;
+        if self.order.columns().len() != arity || self.rows <= 1 {
+            return 0;
         }
-        if self.rows <= 1 {
-            return self;
+        let before = self.rows;
+        if arity == 0 {
+            self.rows = 1;
+            return before - 1;
         }
         let mut write = 1usize;
         for read in 1..self.rows {
@@ -1044,7 +1048,7 @@ impl Relation {
         }
         self.data.truncate(write * arity);
         self.rows = write;
-        self
+        before - write
     }
 
     /// Number of distinct rows, without consuming or cloning the relation
@@ -1086,7 +1090,7 @@ impl Relation {
     ///
     /// Each input is walked in key order: an input whose tracked
     /// [`SortOrder`] has the join attributes as a prefix is consumed as-is,
-    /// and any other input pays one column-permuted index sort — no hash
+    /// and any other input pays one packed-key index sort — no hash
     /// table and no per-row key allocation on either path. Matching key
     /// groups are combined with a cross product that writes into one reused
     /// scratch row, rejecting combinations that disagree on shared non-join
@@ -1345,11 +1349,10 @@ fn finalize_join_order(out: &mut Relation, output_order: JoinOrder<'_>) {
 }
 
 /// A column-major (PAX-style) copy of a relation's key columns: column `k`'s
-/// values for every row sit in one contiguous `&[TermId]` slice. The merge
-/// and sort comparators walk these slices instead of striding through whole
-/// row-major rows, so a comparison touches only key cache lines and the
-/// single-column case degenerates to one flat `u32` compare the compiler can
-/// vectorize.
+/// values for every row sit in one contiguous `&[TermId]` slice. The join's
+/// merge comparator (and the sort fallback for keys wider than 128 bits)
+/// walks these slices instead of striding through whole row-major rows, so
+/// a comparison touches only key cache lines.
 pub(crate) struct KeyChunk {
     buf: Vec<TermId>,
     rows: usize,
@@ -1357,15 +1360,27 @@ pub(crate) struct KeyChunk {
 }
 
 impl KeyChunk {
-    /// Gathers `key_cols` of a row-major buffer into column-major storage.
+    /// Gathers `key_cols` of a row-major buffer into column-major storage,
+    /// in `permutation` order (new position → old row) when one is given.
     /// One buffer allocation sized `key_cols.len() * rows`; no per-row
     /// allocation.
-    pub(crate) fn gather(data: &[TermId], arity: usize, key_cols: &[usize], rows: usize) -> Self {
+    pub(crate) fn gather(
+        data: &[TermId],
+        arity: usize,
+        key_cols: &[usize],
+        rows: usize,
+        permutation: Option<&[u32]>,
+    ) -> Self {
         stats::count_buffer_alloc();
         let mut buf: Vec<TermId> = Vec::with_capacity(key_cols.len() * rows);
         if rows > 0 {
             for &col in key_cols {
-                buf.extend(data[col..].iter().step_by(arity).copied());
+                match permutation {
+                    None => buf.extend(data[col..].iter().step_by(arity).copied()),
+                    Some(order) => {
+                        buf.extend(order.iter().map(|&row| data[row as usize * arity + col]))
+                    }
+                }
             }
         }
         Self {
@@ -1382,9 +1397,10 @@ impl KeyChunk {
     }
 
     /// Compares two rows of the chunk, touching only the contiguous key
-    /// columns (the explicit chunked comparator for multi-column keys).
+    /// columns: the comparator of [`sort_permutation`]'s fallback for keys
+    /// wider than 128 bits.
     #[inline]
-    pub(crate) fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
+    fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
         for k in 0..self.cols {
             let col = self.column(k);
             match col[a].cmp(&col[b]) {
@@ -1394,16 +1410,100 @@ impl KeyChunk {
         }
         Ordering::Equal
     }
+}
 
-    /// Reorders every column by `permutation` (new position → old position).
-    fn permute(&mut self, permutation: &[u32]) {
-        stats::count_buffer_alloc();
-        let mut permuted: Vec<TermId> = Vec::with_capacity(self.buf.len());
-        for k in 0..self.cols {
-            let col = self.column(k);
-            permuted.extend(permutation.iter().map(|&row| col[row as usize]));
+/// An unsigned integer that 32-bit fields pack into, most significant
+/// first, so that comparing two packed values compares their field
+/// sequences lexicographically.
+trait Packed: Copy + Ord {
+    const ZERO: Self;
+    /// Shifts the packed fields up by 32 bits and appends `field` as the
+    /// lowest one.
+    fn push(self, field: u32) -> Self;
+    /// The lowest field.
+    fn low(self) -> u32;
+    /// Drops the lowest field.
+    fn pop(self) -> Self;
+}
+
+macro_rules! impl_packed {
+    ($($int:ty),*) => {$(
+        impl Packed for $int {
+            const ZERO: Self = 0;
+            #[inline]
+            fn push(self, field: u32) -> Self {
+                (self << 32) | Self::from(field)
+            }
+            #[inline]
+            fn low(self) -> u32 {
+                self as u32
+            }
+            #[inline]
+            fn pop(self) -> Self {
+                self >> 32
+            }
         }
-        self.buf = permuted;
+    )*};
+}
+
+impl_packed!(u64, u128);
+
+/// Packs a row's `key` columns, most significant first.
+#[inline]
+fn pack<P: Packed>(row: &[TermId], key: &[usize]) -> P {
+    key.iter().fold(P::ZERO, |packed, &c| packed.push(row[c].0))
+}
+
+/// The permutation (new position → old row) that sorts the `rows` rows of a
+/// row-major buffer by the `key` columns, ties broken by row index, so the
+/// sort is stable and deterministic. Keys of up to three columns pack, with
+/// the row index in the low 32 bits, into one `u64` or `u128` per row and
+/// sort as plain integers; only wider keys go through the [`KeyChunk`]
+/// comparator.
+fn sort_permutation(data: &[TermId], arity: usize, rows: usize, key: &[usize]) -> Vec<u32> {
+    assert!(rows <= u32::MAX as usize, "relation too large");
+    stats::count_buffer_alloc();
+    fn by_packed_key<P: Packed>(
+        data: &[TermId],
+        arity: usize,
+        rows: usize,
+        key: &[usize],
+    ) -> Vec<u32> {
+        let mut packed: Vec<P> = (0..rows)
+            .map(|row| pack::<P>(&data[row * arity..], key).push(row as u32))
+            .collect();
+        packed.sort_unstable();
+        packed.into_iter().map(P::low).collect()
+    }
+    match key.len() {
+        0 => (0..rows as u32).collect(),
+        1 => by_packed_key::<u64>(data, arity, rows, key),
+        2 | 3 => by_packed_key::<u128>(data, arity, rows, key),
+        _ => {
+            let chunk = KeyChunk::gather(data, arity, key, rows, None);
+            let mut permutation: Vec<u32> = (0..rows as u32).collect();
+            permutation
+                .sort_unstable_by(|&a, &b| chunk.cmp_rows(a as usize, b as usize).then(a.cmp(&b)));
+            permutation
+        }
+    }
+}
+
+/// Sorts a row-major buffer in place by `key`, a permutation of all of the
+/// row's columns, by sorting the packed rows themselves and unpacking them
+/// back: no permutation and no second row buffer. Rows equal on the key are
+/// identical, so the sort is stable. `P` must hold `arity` fields.
+fn sort_packed_rows<P: Packed>(data: &mut [TermId], arity: usize, key: &[usize]) {
+    if arity == 0 {
+        return;
+    }
+    let mut packed: Vec<P> = data.chunks_exact(arity).map(|row| pack(row, key)).collect();
+    packed.sort_unstable();
+    for (row, mut value) in data.chunks_exact_mut(arity).zip(packed) {
+        for &c in key.iter().rev() {
+            row[c] = TermId(value.low());
+            value = value.pop();
+        }
     }
 }
 
@@ -1418,7 +1518,7 @@ pub(crate) struct InputView<'r> {
     keys: KeyChunk,
     /// Row visit order: `None` when the relation's tracked order has the
     /// join attributes as a prefix (rows are already key-sorted); otherwise
-    /// the one-shot column-permuted index sort.
+    /// the stable permutation of [`sort_permutation`].
     order: Option<Vec<u32>>,
 }
 
@@ -1438,17 +1538,15 @@ impl<'r> InputView<'r> {
         let presorted = rel.len() <= 1 || rel.order().satisfies(&key_cols);
         stats::count_join_input(presorted);
         stats::count_sort(!presorted);
-        let mut keys = KeyChunk::gather(rel.data(), rel.arity(), &key_cols, rel.len());
-        let order = if presorted {
-            None
-        } else {
-            assert!(rel.len() <= u32::MAX as usize, "relation too large");
-            stats::count_buffer_alloc();
-            let mut order: Vec<u32> = (0..rel.len() as u32).collect();
-            order.sort_unstable_by(|&a, &b| keys.cmp_rows(a as usize, b as usize));
-            keys.permute(&order);
-            Some(order)
-        };
+        let order =
+            (!presorted).then(|| sort_permutation(rel.data(), rel.arity(), rel.len(), &key_cols));
+        let keys = KeyChunk::gather(
+            rel.data(),
+            rel.arity(),
+            &key_cols,
+            rel.len(),
+            order.as_deref(),
+        );
         Self {
             rel,
             key_cols,
@@ -2215,6 +2313,20 @@ mod tests {
         assert!(!scrambled.is_canonical());
         assert_eq!(scrambled.distinct_len(), 3);
         assert_eq!(scrambled.distinct().len(), 3);
+    }
+
+    #[test]
+    fn dedup_sorted_needs_an_order_on_every_column() {
+        // Ordered by (y, x): equal rows are adjacent, so they go.
+        let mut full = rel(&["x", "y"], &[&[2, 1], &[2, 1], &[1, 2], &[1, 2]]);
+        full.assume_order(SortOrder::by([1, 0]));
+        assert_eq!(full.dedup_sorted(), 2);
+        assert_eq!(rows_of(&full), vec![vec![t(2), t(1)], vec![t(1), t(2)]]);
+        // Ordered by x only: it never sorts, so it leaves the rows alone.
+        let mut partial = rel(&["x", "y"], &[&[1, 2], &[1, 3], &[1, 2]]);
+        partial.assume_order(SortOrder::by([0]));
+        assert_eq!(partial.dedup_sorted(), 0);
+        assert_eq!(partial.len(), 3);
     }
 
     #[test]

@@ -361,7 +361,7 @@ impl QueryService {
                 root,
             }
         });
-        let results = output.results.distinct();
+        let results = &output.results;
         let graph = self.csq.cluster().graph();
         let total_rows = results.len();
         let truncated = total_rows > self.max_rows;

@@ -1,14 +1,18 @@
 //! End-to-end tests of the SP²Bench-flavoured workload: the streaming bulk
 //! loader must ingest the DBLP-like generator output bit-identically to the
 //! sequential path at every thread count, and the engine must answer the
-//! chain/skew query set exactly like the naive reference evaluator.
+//! chain/skew query set exactly like the naive reference evaluator, with a
+//! result that is the canonical, duplicate-free answer set at every thread
+//! count.
 
 use cliquesquare::engine::csq::{Csq, CsqConfig};
 use cliquesquare::engine::reference;
+use cliquesquare::engine::{translate, Executor};
 use cliquesquare::mapreduce::load::{BulkLoader, LoadOptions};
 use cliquesquare::mapreduce::{Cluster, ClusterConfig, PartitionedStore, Runtime};
 use cliquesquare::querygen::sp2b_queries;
 use cliquesquare::rdf::{Sp2bGenerator, Sp2bScale};
+use cliquesquare_server::QueryService;
 
 /// The SP²Bench analogue of the tentpole acceptance test: parallel loads of
 /// generator output at threads 1, 2 and 8 reproduce the sequential build
@@ -77,4 +81,61 @@ fn sp2b_streaming_load_bounds_inflight_bytes() {
         report.peak_inflight_bytes,
         report.parsed_bytes
     );
+}
+
+/// `ExecutionOutput::results` is the distinct answer set of S1–S6: canonical,
+/// free of duplicates, equal to the reference evaluator's answer set, and
+/// bit-identical at 1, 2 and 8 threads and on a serving runtime. The served
+/// `total_rows` is the same with the plan cache on and off.
+#[test]
+fn sp2b_results_are_canonical_distinct_and_thread_independent() {
+    let graph = Sp2bGenerator::new(Sp2bScale::tiny()).generate();
+    let cluster = Cluster::load(graph.clone(), ClusterConfig::with_nodes(4));
+    let csq = Csq::new(cluster.clone(), CsqConfig::default());
+    let cached = QueryService::new(cluster.clone(), Runtime::serving(2));
+    let uncached = QueryService::new(cluster.clone(), Runtime::serving(2)).with_plan_cache(None);
+
+    for query in sp2b_queries::sp2b_queries() {
+        let name = query.name().to_string();
+        let (_, chosen, _) = csq.plan(&query);
+        let physical = translate(&chosen, cluster.graph());
+        let baseline = Executor::with_runtime(&cluster, Runtime::sequential()).execute(&physical);
+        let results = &baseline.results;
+        assert!(results.is_canonical(), "{name}: results not canonical");
+        assert_eq!(
+            results.clone().distinct(),
+            *results,
+            "{name}: results hold duplicates"
+        );
+        assert_eq!(baseline.distinct_count(), results.len());
+        assert_eq!(
+            *results,
+            reference::reference_eval(&graph, &query),
+            "{name}: the reference evaluator's answer set"
+        );
+        assert!(!results.is_empty(), "{name} has an empty answer");
+
+        for runtime in [
+            Runtime::with_threads(2),
+            Runtime::with_threads(8),
+            Runtime::serving(2),
+        ] {
+            let label = format!("{name} on {} thread(s)", runtime.threads());
+            let output = Executor::with_runtime(&cluster, runtime).execute(&physical);
+            assert_eq!(output.results, *results, "{label}");
+        }
+
+        // The cached service plans on the first run and hits on the second.
+        let planned = cached.run(&query).expect("serves");
+        let hit = cached.run(&query).expect("serves");
+        let fresh = uncached.run(&query).expect("serves");
+        assert!(hit.cache_hit, "{name}: repeat run misses the plan cache");
+        for answer in [&planned, &hit, &fresh] {
+            assert_eq!(answer.total_rows, results.len(), "{name}: total_rows");
+        }
+        assert_eq!(
+            hit.rows, fresh.rows,
+            "{name}: rows differ across cache settings"
+        );
+    }
 }
